@@ -606,7 +606,7 @@ fn deployment_omega(n: usize) -> Vec<irs_omega::OmegaProcess> {
 /// progress gate the all-zero initial state counts as a trivial agreement
 /// at t = 0.
 fn await_agreement(
-    cluster: &irs_runtime::NetCluster<OmegaProcess>,
+    cluster: &irs_runtime::Cluster<OmegaProcess>,
     limit: std::time::Duration,
 ) -> Option<std::time::Duration> {
     let start = std::time::Instant::now();
@@ -642,8 +642,8 @@ fn ms_cell(d: Option<std::time::Duration>) -> String {
 /// separate-OS-process deployment is `examples/socket_cluster.rs` and the
 /// `socket_cluster` integration test.
 pub fn e11_deployment(quick: bool) -> Table {
-    use irs_net::{DutyCycle, FaultyLink, LinkModel, UdpTransport};
-    use irs_runtime::{NetCluster, NodeConfig};
+    use irs_net::{DutyCycle, FaultyLink, LinkModel, MemNetwork, UdpTransport};
+    use irs_runtime::{Cluster, HostConfig};
     use std::time::Duration as StdDuration;
 
     let mut table = Table::new(
@@ -664,12 +664,12 @@ pub fn e11_deployment(quick: bool) -> Table {
     // Row 1/2: fault-free election + crashed-leader re-election over the
     // in-memory mesh and over real UDP sockets.
     for backend in ["mem", "udp"] {
-        let config = NodeConfig::new(n);
+        let config = HostConfig::default();
         let cluster = match backend {
-            "mem" => NetCluster::in_memory(deployment_omega(n), config),
+            "mem" => Cluster::on_transports(deployment_omega(n), MemNetwork::mesh(n), config),
             _ => {
                 let sockets = UdpTransport::localhost_mesh(n).expect("bind localhost sockets");
-                NetCluster::spawn(deployment_omega(n), sockets, config)
+                Cluster::on_transports(deployment_omega(n), sockets, config)
             }
         };
         let elected = await_agreement(&cluster, limit);
@@ -702,7 +702,7 @@ pub fn e11_deployment(quick: bool) -> Table {
     // per-round ALIVEs, so 20% uniform loss merely slows the election.
     {
         let drop_p = 0.2;
-        let cluster = NetCluster::with_link_models(deployment_omega(n), NodeConfig::new(n), |p| {
+        let cluster = Cluster::with_link_models(deployment_omega(n), HostConfig::default(), |p| {
             LinkModel::new(0x0E11_D20B ^ u64::from(p.as_u32())).with_drop_prob(drop_p)
         });
         let elected = await_agreement(&cluster, limit);
@@ -729,7 +729,7 @@ pub fn e11_deployment(quick: bool) -> Table {
         let neutral = 900_000u64;
         let clock = ManualClock::new();
         clock.set(neutral);
-        let cluster = NetCluster::with_link_models(deployment_omega(n), NodeConfig::new(n), |_| {
+        let cluster = Cluster::with_link_models(deployment_omega(n), HostConfig::default(), |_| {
             let mut model = LinkModel::new(0x000E_11DC).with_manual_clock(clock.clone());
             for node in 0..n as u32 {
                 let (period, width) = (1_000_000, 3_000);
@@ -794,7 +794,7 @@ pub fn e11_deployment(quick: bool) -> Table {
         cluster.shutdown();
     }
 
-    // Scaling curve: the multiplexed socket runtime ([`irs_runtime::MuxCluster`]).
+    // Scaling curve: the host's socket backend ([`irs_runtime::Cluster::udp`]).
     // One real UDP socket per process, `W = cores` reactor shard threads
     // serving all of them through the readiness runtime — where the `udp`
     // rows above park one blocking thread per socket. Quick mode runs the
@@ -802,7 +802,6 @@ pub fn e11_deployment(quick: bool) -> Table {
     // election must converge on ≤ cores threads).
     {
         use irs_omega::{OmegaConfig, Variant};
-        use irs_runtime::{MuxCluster, MuxConfig};
         let sizes: &[usize] = if quick { &[32] } else { &[32, 128] };
         for &size in sizes {
             let system = SystemConfig::new(size, (size - 1) / 2).expect("valid system");
@@ -824,8 +823,11 @@ pub fn e11_deployment(quick: bool) -> Table {
             } else {
                 StdDuration::from_micros(500)
             };
-            let cluster = MuxCluster::spawn_udp(processes, MuxConfig { tick, workers: 0 })
-                .expect("spawn mux cluster");
+            let config = HostConfig {
+                tick,
+                ..HostConfig::default()
+            };
+            let cluster = Cluster::udp(processes, config).expect("spawn socket cluster");
             let size_limit = StdDuration::from_secs(if size >= 64 { 120 } else { 60 });
             let start = std::time::Instant::now();
             let elected = loop {
@@ -890,7 +892,7 @@ pub fn e11_deployment(quick: bool) -> Table {
                 )
             })
             .collect();
-        let cluster = NetCluster::spawn(deployment_omega(n), sockets, NodeConfig::new(n));
+        let cluster = Cluster::on_transports(deployment_omega(n), sockets, HostConfig::default());
         let elected = await_agreement(&cluster, limit);
         table.push_row(vec![
             "udp".to_string(),

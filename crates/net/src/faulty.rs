@@ -270,8 +270,8 @@ impl LinkModel {
     }
 
     /// Delays every admitted frame by a fixed wall-clock duration before
-    /// the receiver sees it — the transport-level analogue of the sharded
-    /// runtime's `LinkDelay::Fixed` (a slow but lossless link).
+    /// the receiver sees it (a slow but lossless link). This is the only
+    /// link shaping the runtime's hosts get: they deliver on arrival.
     #[must_use]
     pub fn with_fixed_delay(mut self, delay: Duration) -> Self {
         self.delay = delay;

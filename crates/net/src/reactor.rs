@@ -23,7 +23,8 @@
 //! by assumption.
 //!
 //! The reactor is single-threaded by design; a multi-core deployment runs
-//! one reactor per shard thread (see `irs_runtime`'s `MuxCluster`).
+//! one reactor per shard thread (the socket backend of `irs_runtime`'s
+//! `Cluster`).
 
 use crate::pool::BufPool;
 use crate::wire::{self, FRAME_HEADER_LEN, MAX_PAYLOAD};
@@ -37,8 +38,9 @@ use std::time::Duration;
 /// Most datagrams drained from one socket per wakeup before the loop moves
 /// to the next readable socket — bounds per-socket latency under a
 /// flooding peer without starving the rest (level-triggered readiness
-/// re-reports whatever is left).
-const RECV_BATCH: usize = 128;
+/// re-reports whatever is left). Transport-backed hosts bound their
+/// zero-timeout drain by the same number.
+pub const RECV_BATCH: usize = 128;
 
 /// Most queued send entries per endpoint before the oldest is shed as
 /// link loss. An entry is one frame (with its full receiver list), so this

@@ -169,6 +169,19 @@ pub trait Wire: Sized {
         let _ = n;
         true
     }
+
+    /// Frame admission: returns `true` if a host of an `n`-process group
+    /// accepts this (already decoded) message from `from`, where `peers`
+    /// (≥ `n`) is the size of the deployment's routing table. The host has
+    /// already checked that the frame is addressed to a process it hosts.
+    ///
+    /// The default admits group members only, and only messages
+    /// [`valid_for`](Wire::valid_for) the group. Message types with a
+    /// client plane override it to admit senders beyond the group.
+    fn admit(&self, from: ProcessId, n: usize, peers: usize) -> bool {
+        let _ = peers;
+        from.index() < n && self.valid_for(n)
+    }
 }
 
 /// Decodes a whole payload as one message, rejecting trailing bytes.

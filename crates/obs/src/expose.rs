@@ -188,8 +188,7 @@ impl Obs {
 
     /// Starts a background thread that rewrites `path` with the
     /// Prometheus text every `period` — the periodic dump hook for
-    /// `run_node`-style hosts whose configs are `Copy` and clusters that
-    /// own many nodes. The thread stops (after one final dump) when the
+    /// process-per-node deployments and clusters that own many nodes. The thread stops (after one final dump) when the
     /// returned guard drops.
     pub fn start_dump(self: &Arc<Self>, period: Duration, path: impl Into<PathBuf>) -> DumpGuard {
         let obs = Arc::clone(self);

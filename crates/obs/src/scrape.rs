@@ -15,8 +15,8 @@
 //! dropped once the last chunk is served.
 //!
 //! The responder is pure request→bytes: it never touches a socket, so
-//! the same instance serves the single-node runtime, the service layer
-//! and the multiplexed reactor.
+//! the same instance serves the runtime host on either of its backends
+//! (transport endpoints or the reactor) and the service layer.
 
 use crate::expose::Obs;
 use std::collections::HashMap;

@@ -1,51 +1,48 @@
-//! Real-time execution of the sans-IO protocols: sharded event loops,
-//! per-shard timer wheels, wall-clock timers — all over the pluggable
-//! [`irs_net::Transport`] subsystem.
+//! Real-time execution of the sans-IO protocols: one host loop over two
+//! I/O backends.
 //!
 //! The discrete-event simulator (`irs-sim`) is where the assumptions of the
 //! paper are reproduced faithfully and deterministically; this crate answers
 //! the other question a user of the library has — *can I actually run this?*
-//! Three deployment shapes share the same state machines:
+//! The protocols need only timers and message delivery, so there is one
+//! host: [`Cluster`] runs `W` shard threads, each driving the loop
+//! described in `shard.rs` (timer queue, staged receive, encode-once
+//! fan-out, per-turn snapshot publishing, scrape answering, draining
+//! shutdown) for the processes it hosts. A shard's I/O comes from one of
+//! two backends:
 //!
-//! * [`Cluster`] — the shared-memory scale runtime: `W` worker shards
-//!   (default: the machine's available parallelism), each owning `n / W`
-//!   processes and running one event loop over a hierarchical timing wheel.
-//!   Shards exchange wire-encoded frames through one transport endpoint per
-//!   shard (the in-memory mesh by default; any backend via
-//!   [`Cluster::spawn_on`]), sample deterministic per-link jitter on the
-//!   *receive* side, drive timers off the wall clock, and expose each
-//!   process's [`irs_types::Snapshot`] (and therefore its `leader()`
-//!   output) to the embedding application. Clusters of 256+ processes run
-//!   on a handful of OS threads; see `cluster.rs` for the shard
-//!   architecture.
-//! * [`NetCluster`] — one node thread per process, each over its own
-//!   transport endpoint: in-memory, UDP-socket, or fault-injected links.
-//! * [`MuxCluster`] — one real UDP socket per process, `W` reactor shard
-//!   threads serving all of them through the nonblocking readiness runtime
-//!   ([`irs_net::Reactor`]): a 128-socket deployment on a handful of
-//!   threads, where [`NetCluster`] would park 128 threads in `recv`.
-//! * [`run_node`] — the single-node event loop itself, for deployments
-//!   where every process is its own OS process (see
-//!   `examples/socket_cluster.rs`).
+//! * **transport endpoints** ([`irs_net::Transport`]): one endpoint per
+//!   shard, frames routed to processes by their `to` header. With one
+//!   endpoint per process this is the thread-per-node shape
+//!   ([`Cluster::on_transports`] over an in-memory, UDP or
+//!   [`irs_net::FaultyLink`] mesh); with [`irs_net::MemNetwork::grouped`]
+//!   endpoints it is the shared-memory scale shape ([`Cluster::spawn`]: 256
+//!   processes on `W ≤ cores` threads);
+//! * **a reactor** ([`irs_net::Reactor`]): one nonblocking UDP socket per
+//!   process, `W` reactor shards serving all of them
+//!   ([`Cluster::on_sockets`], [`Cluster::udp`]): 128 sockets on a handful
+//!   of threads.
 //!
-//! The protocols themselves are byte-for-byte the same state machines that
-//! run under the simulator: [`irs_omega::OmegaProcess`], the baselines and
-//! the consensus layer all work unchanged.
+//! [`run_node`] runs the same loop with one shard and one process on the
+//! calling thread, for deployments where every process is its own OS
+//! process (see `examples/socket_cluster.rs`).
+//!
+//! The protocols are byte-for-byte the state machines that run under the
+//! simulator: [`irs_omega::OmegaProcess`], the baselines and the consensus
+//! layer all work unchanged. Frame admission is the message type's
+//! ([`irs_net::Wire::admit`]).
 //!
 //! # Example
 //!
 //! ```no_run
-//! use irs_runtime::{Cluster, LinkDelay, RealtimeConfig};
+//! use irs_runtime::{Cluster, HostConfig};
 //! use irs_omega::OmegaProcess;
 //! use irs_types::SystemConfig;
 //!
 //! # fn main() -> Result<(), irs_types::ConfigError> {
 //! let system = SystemConfig::new(4, 1)?;
 //! let processes: Vec<_> = system.processes().map(|id| OmegaProcess::fig3(id, system)).collect();
-//! let cluster = Cluster::spawn(processes, RealtimeConfig::default(), LinkDelay::Jitter {
-//!     min: std::time::Duration::from_micros(50),
-//!     max: std::time::Duration::from_millis(2),
-//! });
+//! let cluster = Cluster::spawn(processes, HostConfig::default());
 //! std::thread::sleep(std::time::Duration::from_millis(500));
 //! println!("leaders: {:?}", cluster.leaders());
 //! cluster.shutdown();
@@ -57,15 +54,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod backend;
 mod cluster;
-mod muxcluster;
-mod netcluster;
-mod node;
+mod shard;
 
-pub use cluster::{Cluster, LinkDelay, RealtimeConfig};
-pub use muxcluster::{MuxAccept, MuxCluster, MuxConfig};
-pub use netcluster::NetCluster;
-pub use node::{
-    accept_frame, accept_frame_bytes, run_node, run_node_with, run_node_with_obs, NodeConfig,
-    NodeHandle,
-};
+pub use cluster::{run_node, Cluster, HostConfig, NodeHandle};

@@ -5,7 +5,7 @@
 
 use irs_net::{DutyCycle, LinkModel, ManualClock, Partition};
 use irs_omega::OmegaProcess;
-use irs_runtime::{NetCluster, NodeConfig};
+use irs_runtime::{Cluster, HostConfig};
 use irs_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ fn wait_until<F: Fn() -> bool>(deadline: Instant, check: F) -> bool {
 /// Agreement only counts once every node has progressed through real ALIVE
 /// rounds: the all-default initial state trivially agrees on `p1`.
 fn wait_for_stable_agreement<P>(
-    cluster: &NetCluster<P>,
+    cluster: &Cluster<P>,
     deadline: Instant,
     hold: Duration,
 ) -> Option<ProcessId>
@@ -94,7 +94,7 @@ fn duty_cycle_off_windows_force_reelection_after_each() {
     let clock = ManualClock::new();
     clock.set(NEUTRAL_TICK);
     let cluster =
-        NetCluster::with_link_models(omega_processes(n, 3), NodeConfig::new(n), |_receiver| {
+        Cluster::with_link_models(omega_processes(n, 3), HostConfig::default(), |_receiver| {
             let mut model = LinkModel::new(0x0B19_3124).with_manual_clock(clock.clone());
             for node in 0..n as u32 {
                 model = model.with_duty_cycle(dark_region(node));
@@ -167,9 +167,9 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let n = 4;
-        let cluster = NetCluster::with_link_models(
+        let cluster = Cluster::with_link_models(
             omega_processes(n, 1),
-            NodeConfig::new(n),
+            HostConfig::default(),
             |_receiver| {
                 LinkModel::new(seed)
                     .with_wall_clock(Duration::from_millis(1))

@@ -1,12 +1,12 @@
-//! The multiplexed socket runtime end to end: real UDP sockets, one per
-//! process, served by a bounded set of reactor shard threads.
+//! The socket backend end to end: real UDP sockets, one per process,
+//! served by a bounded set of reactor shard threads.
 //!
 //! The small tests run in tier-1; the 128-socket election is the scaling
 //! acceptance criterion of the socket runtime and runs in the CI mux-smoke
 //! job with `--ignored`.
 
 use irs_omega::{OmegaConfig, OmegaProcess, Variant};
-use irs_runtime::{MuxCluster, MuxConfig};
+use irs_runtime::{Cluster, HostConfig};
 use irs_types::{Duration, ProcessId, SystemConfig};
 use std::time::Duration as StdDuration;
 use std::time::Instant;
@@ -22,7 +22,7 @@ fn wait_for<F: Fn() -> bool>(limit: StdDuration, check: F) -> bool {
     check()
 }
 
-fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> MuxCluster<OmegaProcess> {
+fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> Cluster<OmegaProcess> {
     let system = SystemConfig::new(n, (n - 1) / 2).unwrap();
     let (send_period, timeout_unit) = if n >= 64 { (300, 100) } else { (20, 10) };
     let processes: Vec<_> = system
@@ -37,7 +37,12 @@ fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> MuxCluster<OmegaPro
             OmegaProcess::new(id, config)
         })
         .collect();
-    MuxCluster::spawn_udp(processes, MuxConfig { tick, workers }).expect("spawn mux cluster")
+    let config = HostConfig {
+        tick,
+        workers,
+        ..HostConfig::default()
+    };
+    Cluster::udp(processes, config).expect("spawn socket cluster")
 }
 
 /// An n = 16 election over 16 real UDP sockets on 2 reactor shards, with
@@ -90,7 +95,7 @@ fn mux_cluster_publishes_batched_send_gauge() {
 
 /// Shard threads are named and bounded: `W` reactor threads serve all the
 /// sockets, and dropping the cluster without `shutdown` still stops them.
-/// The probe counts the thread named `irs-mux-2`, which only this test's
+/// The probe looks for the thread named `irs-shard-2`, which only this test's
 /// 3-shard cluster creates (the sibling tests spawn 2 shards), so parallel
 /// test execution cannot perturb the count.
 #[test]
@@ -105,7 +110,7 @@ fn mux_shard_threads_are_bounded_named_and_stop_on_drop() {
                     .map(|t| t.path().join("comm"))
                     .and_then(|p| std::fs::read_to_string(p).ok())
                     .unwrap_or_default();
-                comm.trim_end() == "irs-mux-2"
+                comm.trim_end() == "irs-shard-2"
             })
     };
     assert!(!third_shard_alive());
@@ -114,7 +119,7 @@ fn mux_shard_threads_are_bounded_named_and_stop_on_drop() {
     // The shard thread names itself as it starts; allow it a moment.
     assert!(
         wait_for(StdDuration::from_secs(5), third_shard_alive),
-        "shard thread irs-mux-2 never appeared"
+        "shard thread irs-shard-2 never appeared"
     );
     drop(cluster);
     let stopped = wait_for(StdDuration::from_secs(5), || !third_shard_alive());
@@ -153,7 +158,7 @@ fn mux_cluster_128_sockets_elects_on_bounded_threads() {
                         .map(|t| t.path().join("comm"))
                         .and_then(|p| std::fs::read_to_string(p).ok())
                         .unwrap_or_default();
-                    comm.starts_with("irs-mux-")
+                    comm.starts_with("irs-shard-")
                 })
                 .count()
                 == cluster.worker_threads()

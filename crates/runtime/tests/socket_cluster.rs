@@ -10,7 +10,7 @@
 
 use irs_net::reexec;
 use irs_omega::OmegaProcess;
-use irs_runtime::{run_node, NodeConfig, NodeHandle};
+use irs_runtime::{run_node, HostConfig, NodeHandle};
 use irs_types::{ProcessId, SystemConfig};
 use std::io::BufRead;
 use std::sync::atomic::Ordering;
@@ -31,9 +31,11 @@ fn child_main(id: u32) {
     let proto = OmegaProcess::fig3(ProcessId::new(id), system);
     let handle = NodeHandle::new();
     let observer = handle.clone();
-    let node = std::thread::spawn(move || {
-        run_node(proto, transport, NodeConfig::new(N).with_tick(TICK), handle)
-    });
+    let config = HostConfig {
+        tick: TICK,
+        ..HostConfig::default()
+    };
+    let node = std::thread::spawn(move || run_node(proto, transport, N, config, handle));
 
     // Report once our own leader output has been stable for 2 s of real
     // progress; give up (and report whatever we see) after 40 s.

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Generic over the *payload handle* `H`: the deterministic engine
 /// instantiates it with `Rc<Msg>` (single-threaded, so the broadcast
 /// fan-out's reference counting needs no atomics), while the real-time
-/// runtime uses `Arc<Msg>` for its cross-shard deliveries.
+/// runtime keeps only timers in its wheel (`()`).
 #[derive(Clone, Debug)]
 pub enum Event<H> {
     /// A message reaches its destination process.

@@ -1,47 +1,31 @@
-//! In-process service deployments: `n` replica node threads over any
-//! transport backend, plus connected clients.
+//! In-process service deployments: `n` replicas on `irs-runtime`'s
+//! [`Cluster`] host, plus connected clients.
 //!
-//! Mirrors [`irs_runtime::NetCluster`] (thread-per-node, one endpoint per
-//! node, snapshots / crash injection / state-returning shutdown), extended
-//! with the client plane: the transport mesh is built with `n + c`
-//! endpoints, the first `n` host replicas and the rest become
-//! [`SvcClient`]s. For the process-per-node deployment over UDP see
-//! `examples/kv_cluster.rs`.
+//! The transport mesh is built with `n + c` endpoints: the first `n` host
+//! replicas and the rest become [`SvcClient`]s. The replicas run one per
+//! shard thread over transport endpoints (the in-memory mesh, UDP sockets,
+//! fault-injected links), or on reactor shards with one socket each
+//! ([`SvcCluster::mux_udp`]). For the process-per-node deployment over UDP
+//! see `examples/kv_cluster.rs`.
 
 use crate::client::SvcClient;
-use crate::node::{accept_svc_frame_bytes, run_svc_node, SvcConfig};
+use crate::node::SvcConfig;
 use crate::replica::SvcReplica;
 use irs_net::{
     FaultyLink, LinkModel, MemNetwork, MemTransport, MuxEndpoint, MuxNetwork, Transport,
     UdpTransport,
 };
-use irs_runtime::{MuxAccept, MuxCluster, MuxConfig, NodeHandle};
+use irs_runtime::Cluster;
 use irs_types::{ProcessId, Snapshot};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Seed base for the deterministic per-client retry jitter.
 const CLIENT_SEED: u64 = 0x5EED_C11E;
 
-/// How the replicas are being driven: one node thread per replica (the
-/// historical shape), or the multiplexed socket runtime (one socket per
-/// replica, `W` reactor shard threads for all of them). The observation
-/// surface is identical either way.
-#[derive(Debug)]
-enum Backing {
-    Threads {
-        handles: Vec<NodeHandle>,
-        threads: Vec<JoinHandle<SvcReplica>>,
-    },
-    Mux(MuxCluster<SvcReplica>),
-}
-
 /// A running KV-service deployment.
 #[derive(Debug)]
 pub struct SvcCluster {
-    n: usize,
-    backing: Backing,
+    host: Cluster<SvcReplica>,
     /// The shared observability handle, when the config carried one —
     /// callers scrape metrics or dump the flight recorder through it
     /// while the cluster runs (and after shutdown).
@@ -49,7 +33,7 @@ pub struct SvcCluster {
 }
 
 impl SvcCluster {
-    /// Spawns `config.n` replicas, one thread each, over the given
+    /// Spawns `config.n` replicas, one shard thread each, over the given
     /// endpoints (`transports[i]` hosts replica `i`). Resilience is the
     /// largest consensus-compatible `t = ⌊(n−1)/2⌋`.
     ///
@@ -61,30 +45,20 @@ impl SvcCluster {
     where
         T: Transport + 'static,
     {
-        let n = config.n;
-        let obs = config.obs.clone();
-        assert!(n >= 3, "a replicated service needs n >= 3");
-        assert_eq!(transports.len(), n, "one endpoint per replica");
-        let handles: Vec<NodeHandle> = (0..n).map(|_| NodeHandle::new()).collect();
-        let threads = transports
-            .into_iter()
-            .enumerate()
-            .zip(&handles)
-            .map(|((i, transport), handle)| {
-                let replica = config.replica(ProcessId::new(i as u32));
-                let handle = handle.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("irs-svc-{i}"))
-                    .spawn(move || run_svc_node(replica, transport, config, handle))
-                    .expect("spawn replica thread")
-            })
-            .collect();
+        assert_eq!(transports.len(), config.n, "one endpoint per replica");
+        let replicas = Self::replicas(config.n, &config);
+        let host = Cluster::on_transports(replicas, transports, config.host(0));
         SvcCluster {
-            n,
-            backing: Backing::Threads { handles, threads },
-            obs,
+            host,
+            obs: config.obs,
         }
+    }
+
+    fn replicas(n: usize, config: &SvcConfig) -> Vec<SvcReplica> {
+        assert!(n >= 3, "a replicated service needs n >= 3");
+        (0..n)
+            .map(|i| config.replica(ProcessId::new(i as u32)))
+            .collect()
     }
 
     /// An `n`-replica deployment over the in-memory mesh, with `clients`
@@ -148,13 +122,13 @@ impl SvcCluster {
         Ok((cluster, Self::wrap_clients(n, client_eps)))
     }
 
-    /// An `n`-replica deployment on the multiplexed socket runtime: every
-    /// replica and every client keeps its own real UDP socket, but the
-    /// replicas are served by `workers` reactor shard threads (`0` = the
-    /// machine's parallelism) and the whole client fleet by one more —
-    /// where [`SvcCluster::udp`] spends one blocking thread per endpoint.
-    /// This is the deployment shape that scales the service to large
-    /// client fleets in one process.
+    /// An `n`-replica deployment on the socket backend: every replica and
+    /// every client keeps its own real UDP socket, but the replicas are
+    /// served by `workers` reactor shard threads (`0` = the machine's
+    /// parallelism) and the whole client fleet by one more, where
+    /// [`SvcCluster::udp`] spends one blocking thread per endpoint. This is
+    /// the deployment shape that scales the service to large client fleets
+    /// in one process.
     ///
     /// # Errors
     ///
@@ -169,7 +143,7 @@ impl SvcCluster {
         workers: usize,
         config: SvcConfig,
     ) -> std::io::Result<(Self, Vec<SvcClient<MuxEndpoint>>)> {
-        assert!(n >= 3, "a replicated service needs n >= 3");
+        let replicas = Self::replicas(n, &config);
         let mut sockets: Vec<std::net::UdpSocket> = (0..n + clients)
             .map(|_| std::net::UdpSocket::bind(("127.0.0.1", 0)))
             .collect::<std::io::Result<_>>()?;
@@ -178,30 +152,12 @@ impl SvcCluster {
             .map(|s| s.local_addr())
             .collect::<std::io::Result<_>>()?;
         let client_sockets = sockets.split_off(n);
-
-        let replicas: Vec<SvcReplica> = (0..n)
-            .map(|i| config.replica(ProcessId::new(i as u32)))
-            .collect();
-        let peers = config.peers;
-        let accept: MuxAccept<crate::msg::SvcMsg> = Arc::new(move |me, from, to, payload| {
-            accept_svc_frame_bytes(from, to, payload, me, n, peers)
-        });
-        let mux = MuxCluster::spawn_on_sockets_obs(
-            replicas,
-            sockets,
-            peer_addrs.clone(),
-            MuxConfig {
-                tick: config.tick,
-                workers,
-            },
-            accept,
-            config.obs.clone(),
-        )?;
+        let host =
+            Cluster::on_sockets(replicas, sockets, peer_addrs.clone(), config.host(workers))?;
         let client_eps = MuxNetwork::over_sockets(client_sockets, peer_addrs)?;
         let cluster = SvcCluster {
-            n,
-            backing: Backing::Mux(mux),
-            obs: config.obs.clone(),
+            host,
+            obs: config.obs,
         };
         Ok((cluster, Self::wrap_clients(n, client_eps)))
     }
@@ -219,7 +175,7 @@ impl SvcCluster {
 
     /// Number of replicas.
     pub fn n(&self) -> usize {
-        self.n
+        self.host.n()
     }
 
     /// The shared observability handle, when the config carried one.
@@ -229,76 +185,34 @@ impl SvcCluster {
 
     /// The latest published snapshot of a replica.
     pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        match &self.backing {
-            Backing::Threads { handles, .. } => handles[pid.index()]
-                .snapshot
-                .lock()
-                .expect("snapshot lock poisoned")
-                .clone(),
-            Backing::Mux(mux) => mux.snapshot(pid),
-        }
+        self.host.snapshot(pid)
     }
 
     /// The current leader output of a replica.
     pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
+        self.host.leader_of(pid)
     }
 
     /// Returns `Some(p)` when every non-crashed replica currently outputs
     /// the same non-crashed leader `p`.
     pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let mut agreed: Option<ProcessId> = None;
-        for i in 0..self.n {
-            let pid = ProcessId::new(i as u32);
-            if self.is_crashed(pid) {
-                continue;
-            }
-            let leader = self.leader_of(pid);
-            match agreed {
-                None => agreed = Some(leader),
-                Some(l) if l == leader => {}
-                Some(_) => return None,
-            }
-        }
-        agreed.filter(|&l| !self.is_crashed(l))
+        self.host.agreed_leader()
     }
 
     /// Crash-stops a replica: it stops reacting to messages and timers.
     pub fn crash(&self, pid: ProcessId) {
-        match &self.backing {
-            Backing::Threads { handles, .. } => {
-                handles[pid.index()].crashed.store(true, Ordering::SeqCst)
-            }
-            Backing::Mux(mux) => mux.crash(pid),
-        }
+        self.host.crash(pid);
     }
 
     /// Returns `true` if the replica was crashed via [`SvcCluster::crash`].
     pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        match &self.backing {
-            Backing::Threads { handles, .. } => handles[pid.index()].crashed.load(Ordering::SeqCst),
-            Backing::Mux(mux) => mux.is_crashed(pid),
-        }
+        self.host.is_crashed(pid)
     }
 
     /// Stops every replica and returns the final states (stores included)
     /// in id order.
     pub fn shutdown(self) -> Vec<SvcReplica> {
-        match self.backing {
-            Backing::Threads {
-                handles,
-                mut threads,
-            } => {
-                for handle in &handles {
-                    handle.stop.store(true, Ordering::SeqCst);
-                }
-                threads
-                    .drain(..)
-                    .map(|t| t.join().expect("replica thread panicked"))
-                    .collect()
-            }
-            Backing::Mux(mux) => mux.shutdown(),
-        }
+        self.host.shutdown()
     }
 }
 

@@ -28,13 +28,13 @@
 //!   converges via snapshot install. It is an ordinary sans-IO
 //!   [`irs_types::Protocol`], so it runs under any driver.
 //! * [`run_svc_node`] drives one replica over any
-//!   [`irs_net::Transport`] endpoint — the same event loop as
-//!   [`irs_runtime::run_node`], with a frame-acceptance policy that also
-//!   admits client frames from endpoints outside the replica group.
-//! * [`SvcCluster`] deploys `n` replicas (thread-per-node) over the
-//!   in-memory mesh, UDP sockets, or fault-injected links, and hands back
-//!   connected [`SvcClient`]s; `examples/kv_cluster.rs` is the
-//!   process-per-node UDP deployment.
+//!   [`irs_net::Transport`] endpoint with [`irs_runtime::run_node`]; the
+//!   host admits client frames from endpoints outside the replica group
+//!   because [`SvcMsg`]'s admission rule ([`irs_net::Wire::admit`]) does.
+//! * [`SvcCluster`] deploys `n` replicas on [`irs_runtime::Cluster`] over
+//!   the in-memory mesh, UDP sockets, fault-injected links, or reactor
+//!   shards, and hands back connected [`SvcClient`]s;
+//!   `examples/kv_cluster.rs` is the process-per-node UDP deployment.
 //! * [`SvcClient`] is the client path: leader discovery by probing,
 //!   redirect-on-`NotLeader` (the [`SvcReply::Redirect`] protocol), and
 //!   seeded retry/backoff so a leader crash mid-request heals by itself.
@@ -76,6 +76,6 @@ pub use durability::{Durability, Recovered};
 pub use irs_consensus::Command;
 pub use irs_wal::FsyncPolicy;
 pub use msg::{ReadTier, SvcMsg, SvcReply};
-pub use node::{accept_svc_frame, run_svc_node, SvcConfig};
+pub use node::{run_svc_node, SvcConfig};
 pub use replica::{SvcReplica, TIMER_LEASE};
 pub use store::KvStore;

@@ -305,6 +305,19 @@ impl Wire for SvcMsg {
             SvcMsg::LeaseProbe { .. } | SvcMsg::LeaseAck { .. } => true,
         }
     }
+
+    /// The service's admission policy: the consensus and lease planes are
+    /// replicas-only, requests and reads may come from any endpoint a reply
+    /// can be routed to, and replies never enter a replica (they belong on
+    /// the client side of the link).
+    fn admit(&self, from: ProcessId, n: usize, peers: usize) -> bool {
+        let bound = match self {
+            SvcMsg::Log(_) | SvcMsg::LeaseProbe { .. } | SvcMsg::LeaseAck { .. } => n,
+            SvcMsg::Request { .. } | SvcMsg::Read { .. } => peers,
+            SvcMsg::Reply(_) => return false,
+        };
+        from.index() < bound && self.valid_for(n)
+    }
 }
 
 #[cfg(test)]
@@ -496,5 +509,71 @@ mod tests {
         });
         assert!(redirect.valid_for(8));
         assert!(!redirect.valid_for(4));
+    }
+
+    /// Admission from replica `from` of a 5-replica group routing to 8
+    /// endpoints (endpoints 5..8 are clients).
+    fn admitted(from: u32, msg: &SvcMsg) -> bool {
+        msg.admit(ProcessId::new(from), 5, 8)
+    }
+
+    #[test]
+    fn policy_admits_clients_but_not_stray_planes() {
+        let request = SvcMsg::Request {
+            cmd: KvWrite {
+                client: 6,
+                seq: 1,
+                op: KvOp::Del { key: b"k".to_vec() },
+            }
+            .encode(),
+        };
+        let log = SvcMsg::Log(irs_consensus::LogMsg::Catchup { from: 0 });
+        let reply = SvcMsg::Reply(SvcReply::Applied {
+            client: 6,
+            seq: 1,
+            slot: 0,
+        });
+        // A client (endpoint 6) may send requests but not log traffic.
+        assert!(admitted(6, &request));
+        assert!(!admitted(6, &log));
+        // A replica may send log traffic.
+        assert!(admitted(2, &log));
+        // Senders beyond the peer table have no reply route.
+        assert!(!admitted(9, &request));
+        // Replies never enter a replica. (Misrouted frames, addressed to a
+        // process the host does not serve, are dropped by the host's
+        // routing before admission.)
+        assert!(!admitted(2, &reply));
+    }
+
+    /// The read plane follows the same boundary: reads are client traffic,
+    /// lease probes/acks are replica-only, value replies never enter a
+    /// replica.
+    #[test]
+    fn policy_splits_the_read_plane_like_the_write_plane() {
+        let read = SvcMsg::Read {
+            client: 6,
+            rid: 1,
+            key: b"k".to_vec(),
+            tier: ReadTier::Lease,
+        };
+        let probe = SvcMsg::LeaseProbe { rid: 3 };
+        let ack = SvcMsg::LeaseAck {
+            rid: 3,
+            granted: true,
+        };
+        let value = SvcMsg::Reply(SvcReply::Value {
+            client: 6,
+            rid: 1,
+            value: None,
+            frontier: 0,
+        });
+        assert!(admitted(6, &read));
+        assert!(!admitted(9, &read));
+        assert!(admitted(2, &probe));
+        assert!(admitted(2, &ack));
+        assert!(!admitted(6, &probe));
+        assert!(!admitted(6, &ack));
+        assert!(!admitted(2, &value));
     }
 }

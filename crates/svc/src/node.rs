@@ -1,19 +1,17 @@
-//! Driving one [`SvcReplica`] over a [`Transport`] endpoint.
+//! The deployment shape of a service node ([`SvcConfig`]) and
+//! [`run_svc_node`], which drives one [`SvcReplica`] over a [`Transport`]
+//! endpoint with `irs-runtime`'s host loop.
 //!
-//! [`run_svc_node`] is [`irs_runtime::run_node`] with a different
-//! frame-acceptance policy: the default policy drops frames from senders
-//! outside the replica group as link noise, but a service must accept
-//! *client* frames from endpoints beyond `n`. The policy here admits
-//! log traffic from replicas only, requests from any known endpoint, and
-//! drops replies (a reply arriving at a replica is stray traffic) — applied
-//! identically in the live loop and the shutdown drain.
+//! Nothing here is service-specific I/O: the host admits client frames from
+//! endpoints beyond the replica group because [`SvcMsg`](crate::SvcMsg)'s
+//! own admission rule ([`irs_net::Wire::admit`]) does, bounded by
+//! [`SvcConfig::peers`].
 
-use crate::msg::SvcMsg;
 use crate::replica::SvcReplica;
-use irs_net::{wire::decode_payload, Frame, Transport, Wire};
+use irs_net::Transport;
 use irs_obs::Obs;
-use irs_runtime::{run_node_with, run_node_with_obs, NodeConfig, NodeHandle};
-use irs_types::{ProcessId, Protocol, SystemConfig};
+use irs_runtime::{run_node, HostConfig, NodeHandle};
+use irs_types::{ProcessId, SystemConfig};
 use irs_wal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -127,6 +125,17 @@ impl SvcConfig {
         self
     }
 
+    /// The host settings of this deployment: its tick, its routing-table
+    /// bound (`peers`), its observability handle, and `workers` shards.
+    pub fn host(&self, workers: usize) -> HostConfig {
+        HostConfig {
+            tick: self.tick,
+            workers,
+            peers: self.peers,
+            obs: self.obs.clone(),
+        }
+    }
+
     /// The data directory of replica `id` under this config, if durable.
     pub fn node_dir(&self, id: ProcessId) -> Option<PathBuf> {
         self.data_dir
@@ -175,152 +184,16 @@ impl SvcConfig {
     }
 }
 
-/// The service's frame-acceptance policy (see module docs). Public so the
-/// process-per-node deployments (`examples/kv_cluster.rs`) share the exact
-/// policy with [`run_svc_node`].
-pub fn accept_svc_frame(frame: &Frame, me: ProcessId, n: usize, peers: usize) -> Option<SvcMsg> {
-    accept_svc_frame_bytes(frame.from, frame.to, &frame.payload, me, n, peers)
-}
-
-/// [`accept_svc_frame`] over borrowed parts instead of an assembled
-/// [`Frame`] — the policy the multiplexed deployment applies on the
-/// reactor's borrowed-bytes decode path (the service analogue of
-/// [`irs_runtime::accept_frame_bytes`]).
-pub fn accept_svc_frame_bytes(
-    from: ProcessId,
-    to: ProcessId,
-    payload: &[u8],
-    me: ProcessId,
-    n: usize,
-    peers: usize,
-) -> Option<SvcMsg> {
-    if to != me {
-        return None;
-    }
-    let msg = decode_payload::<SvcMsg>(payload).ok()?;
-    if !msg.valid_for(n) {
-        return None;
-    }
-    match msg {
-        // The consensus and lease planes are replicas-only.
-        SvcMsg::Log(_) | SvcMsg::LeaseProbe { .. } | SvcMsg::LeaseAck { .. } => {
-            (from.index() < n).then_some(msg)
-        }
-        // Requests and reads may come from any endpoint we can route a
-        // reply to.
-        SvcMsg::Request { .. } | SvcMsg::Read { .. } => (from.index() < peers).then_some(msg),
-        // Replies belong on the client side of the link.
-        SvcMsg::Reply(_) => None,
-    }
-}
-
-/// Drives `replica` over `transport` until [`NodeHandle::stop`] is set,
-/// then returns the final replica state (its store included). Semantics
-/// match [`irs_runtime::run_node`]: wall-clock timers, crash flag, and the
-/// quiet-window shutdown drain.
+/// Drives `replica` over `transport` on the calling thread until
+/// [`NodeHandle::stop`] is set, then returns the final replica state (its
+/// store included): [`irs_runtime::run_node`] with the host settings this
+/// config carries.
 pub fn run_svc_node<T: Transport>(
     replica: SvcReplica,
     transport: T,
     config: SvcConfig,
     handle: NodeHandle,
 ) -> SvcReplica {
-    let me = replica.id();
-    let (n, peers) = (config.n, config.peers);
-    let node_config = NodeConfig::new(n).with_tick(config.tick);
-    let accept = move |frame: &Frame| accept_svc_frame(frame, me, n, peers);
-    match &config.obs {
-        Some(obs) => run_node_with_obs(replica, transport, node_config, handle, accept, obs),
-        None => run_node_with(replica, transport, node_config, handle, accept),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::command::{KvOp, KvWrite};
-    use crate::msg::SvcReply;
-    use irs_net::wire::encode_frame;
-    use irs_net::Wire;
-    use std::sync::Arc;
-
-    fn frame(from: u32, to: u32, msg: &SvcMsg) -> Frame {
-        let mut payload = Vec::new();
-        msg.encode(&mut payload);
-        let mut bytes = Vec::new();
-        encode_frame(
-            &mut bytes,
-            ProcessId::new(from),
-            ProcessId::new(to),
-            &payload,
-        );
-        let (f, t, p) = irs_net::wire::decode_frame(&bytes).unwrap();
-        Frame {
-            from: f,
-            to: t,
-            payload: Arc::from(p),
-        }
-    }
-
-    #[test]
-    fn policy_admits_clients_but_not_stray_planes() {
-        let me = ProcessId::new(0);
-        let (n, peers) = (5, 8);
-        let request = SvcMsg::Request {
-            cmd: KvWrite {
-                client: 6,
-                seq: 1,
-                op: KvOp::Del { key: b"k".to_vec() },
-            }
-            .encode(),
-        };
-        let log = SvcMsg::Log(irs_consensus::LogMsg::Catchup { from: 0 });
-        let reply = SvcMsg::Reply(SvcReply::Applied {
-            client: 6,
-            seq: 1,
-            slot: 0,
-        });
-        // A client (endpoint 6) may send requests but not log traffic.
-        assert!(accept_svc_frame(&frame(6, 0, &request), me, n, peers).is_some());
-        assert!(accept_svc_frame(&frame(6, 0, &log), me, n, peers).is_none());
-        // A replica may send log traffic.
-        assert!(accept_svc_frame(&frame(2, 0, &log), me, n, peers).is_some());
-        // Senders beyond the peer table have no reply route.
-        assert!(accept_svc_frame(&frame(9, 0, &request), me, n, peers).is_none());
-        // Replies never enter a replica; misrouted frames die too.
-        assert!(accept_svc_frame(&frame(2, 0, &reply), me, n, peers).is_none());
-        assert!(accept_svc_frame(&frame(2, 3, &log), me, n, peers).is_none());
-    }
-
-    /// The read plane follows the same boundary: reads are client traffic,
-    /// lease probes/acks are replica-only, value replies never enter a
-    /// replica.
-    #[test]
-    fn policy_splits_the_read_plane_like_the_write_plane() {
-        let me = ProcessId::new(0);
-        let (n, peers) = (5, 8);
-        let read = SvcMsg::Read {
-            client: 6,
-            rid: 1,
-            key: b"k".to_vec(),
-            tier: crate::msg::ReadTier::Lease,
-        };
-        let probe = SvcMsg::LeaseProbe { rid: 3 };
-        let ack = SvcMsg::LeaseAck {
-            rid: 3,
-            granted: true,
-        };
-        let value = SvcMsg::Reply(SvcReply::Value {
-            client: 6,
-            rid: 1,
-            value: None,
-            frontier: 0,
-        });
-        assert!(accept_svc_frame(&frame(6, 0, &read), me, n, peers).is_some());
-        assert!(accept_svc_frame(&frame(9, 0, &read), me, n, peers).is_none());
-        assert!(accept_svc_frame(&frame(2, 0, &probe), me, n, peers).is_some());
-        assert!(accept_svc_frame(&frame(2, 0, &ack), me, n, peers).is_some());
-        assert!(accept_svc_frame(&frame(6, 0, &probe), me, n, peers).is_none());
-        assert!(accept_svc_frame(&frame(6, 0, &ack), me, n, peers).is_none());
-        assert!(accept_svc_frame(&frame(2, 0, &value), me, n, peers).is_none());
-    }
+    let n = config.n;
+    run_node(replica, transport, n, config.host(1), handle)
 }

@@ -1,14 +1,15 @@
 //! The same Ω state machines on real threads and wall-clock timers.
 //!
-//! Spawns a four-process cluster of the Figure 3 algorithm with jittered
-//! in-memory links, waits for a stable leader, crashes it, and waits for the
-//! re-election — all in real time (a few hundred milliseconds).
+//! Spawns a four-process cluster of the Figure 3 algorithm on the runtime's
+//! host (shard threads over in-memory links), waits for a stable leader,
+//! crashes it, and waits for the re-election — all in real time (a few
+//! hundred milliseconds).
 //!
 //! Run with: `cargo run --release --example realtime_cluster`
 
 use intermittent_rotating_star::omega::OmegaProcess;
-use intermittent_rotating_star::runtime::{Cluster, LinkDelay, RealtimeConfig};
-use intermittent_rotating_star::types::SystemConfig;
+use intermittent_rotating_star::runtime::{Cluster, HostConfig};
+use intermittent_rotating_star::types::{ProcessId, SystemConfig};
 use std::time::{Duration, Instant};
 
 fn wait_for(limit: Duration, check: impl Fn() -> bool) -> bool {
@@ -29,21 +30,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|id| OmegaProcess::fig3(id, system))
         .collect();
 
-    let cluster = Cluster::spawn(
-        processes,
-        RealtimeConfig::default(),
-        LinkDelay::Jitter {
-            min: Duration::from_micros(50),
-            max: Duration::from_millis(2),
-        },
-    );
+    let cluster = Cluster::spawn(processes, HostConfig::default());
 
+    // Agreement alone is trivially true of the all-default initial state,
+    // so wait for real ALIVE rounds everywhere too.
     let elected = wait_for(Duration::from_secs(15), || {
-        cluster.agreed_leader().is_some()
+        (0..4).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round > 5)
+            && cluster.agreed_leader().is_some()
     });
     let leader = cluster.agreed_leader();
     println!("initial election: agreed = {elected}, leader = {leader:?}");
-    println!("messages routed so far: {}", cluster.messages_routed());
+    let delivered: u64 = (0..4)
+        .filter_map(|i| {
+            cluster
+                .snapshot(ProcessId::new(i))
+                .gauge("frames_delivered")
+        })
+        .sum();
+    println!("frames delivered so far: {delivered}");
 
     if let Some(leader) = leader {
         println!("crashing {leader} …");

@@ -13,8 +13,8 @@
 //!
 //! Pass `--metrics` to instrument every node: each child process then
 //! rewrites `<tmp>/irs-socket-cluster-node-<id>.prom` with its Prometheus
-//! metrics twice a second while it runs. Because the instrumented path
-//! runs `run_node_with_obs`, every such node also answers live
+//! metrics twice a second while it runs. Because the instrumented node's
+//! host carries the observability handle, every such node also answers live
 //! `ObsMsg::ScrapeRequest` datagrams on its mesh socket — point the
 //! cluster collector (see `examples/kv_cluster.rs --scrape`) at the
 //! printed ports to pull the registries over the wire instead of tailing
@@ -23,9 +23,7 @@
 use intermittent_rotating_star::net::reexec;
 use intermittent_rotating_star::obs::Obs;
 use intermittent_rotating_star::omega::OmegaProcess;
-use intermittent_rotating_star::runtime::{
-    accept_frame, run_node, run_node_with_obs, NodeConfig, NodeHandle,
-};
+use intermittent_rotating_star::runtime::{run_node, HostConfig, NodeHandle};
 use intermittent_rotating_star::types::{ProcessId, SystemConfig};
 use std::io::BufRead;
 use std::sync::atomic::Ordering;
@@ -57,21 +55,12 @@ fn child(id: u32, n: usize, metrics: bool) {
         eprintln!("[child {id}] dumping metrics to {}", path.display());
         o.start_dump(Duration::from_millis(500), path)
     });
-    let node = std::thread::spawn(move || {
-        let config = NodeConfig::new(n).with_tick(TICK);
-        let me = ProcessId::new(id);
-        match obs {
-            Some(obs) => run_node_with_obs(
-                proto,
-                transport,
-                config,
-                handle,
-                move |frame| accept_frame(frame, me, n),
-                &obs,
-            ),
-            None => run_node(proto, transport, config, handle),
-        }
-    });
+    let config = HostConfig {
+        tick: TICK,
+        obs,
+        ..HostConfig::default()
+    };
+    let node = std::thread::spawn(move || run_node(proto, transport, n, config, handle));
 
     // Report once our leader output has been stable for 2 s (cap 40 s).
     let started = Instant::now();
